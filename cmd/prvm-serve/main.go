@@ -111,7 +111,17 @@ func run(args []string) error {
 			info.VMs, info.SnapshotSeq, info.ReplayedOps, info.Truncated)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: s}
+	// Constant timeouts bound what a slow or idle client can hold: the
+	// headers, the whole (small) request, and a parked keep-alive
+	// connection. No WriteTimeout: /debug/pprof profiles stream for as
+	// long as the caller asks.
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           s,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "prvm-serve on %s (shards=%d pms=%d/type data=%q fsync=%v)\n",

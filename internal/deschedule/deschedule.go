@@ -393,26 +393,31 @@ func (e *Engine) tryRankMove(c *placement.Cluster, src *placement.PM, vmID int, 
 // attached), fires the OnMove hook, and feeds the gain histogram.
 func (e *Engine) emit(m Move) {
 	if e.cfg.Recorder.Active() {
-		e.cfg.Recorder.RecordOp(record.Op{
-			Kind:   record.OpRelease,
-			VM:     m.VM,
-			VMType: m.VMType,
-			PM:     m.From,
-		})
-		e.cfg.Recorder.RecordOp(record.Op{
-			Kind:   record.OpPlace,
-			VM:     m.VM,
-			VMType: m.VMType,
-			PM:     m.To,
-			PMType: m.ToType,
-			Assign: toOpAssign(m.Assign),
-			Score:  m.Score,
-		})
+		release, place := m.Ops()
+		e.cfg.Recorder.RecordOp(release)
+		e.cfg.Recorder.RecordOp(place)
 	}
 	if e.cfg.OnMove != nil {
 		e.cfg.OnMove(m)
 	}
 	e.met.rankGain.Observe(m.Gain)
+}
+
+// Ops returns the move as the record format logs it: a release from
+// the source followed by a place on the destination. The engine's
+// recorder and the serve daemon's WAL both log this one encoding.
+func (m Move) Ops() (release, place record.Op) {
+	release = record.Op{Kind: record.OpRelease, VM: m.VM, VMType: m.VMType, PM: m.From}
+	place = record.Op{
+		Kind:   record.OpPlace,
+		VM:     m.VM,
+		VMType: m.VMType,
+		PM:     m.To,
+		PMType: m.ToType,
+		Assign: record.ToOpAssign(m.Assign),
+		Score:  m.Score,
+	}
+	return release, place
 }
 
 // rehost puts a released VM back on its source with its original
@@ -436,16 +441,4 @@ func sortedVMIDs(pm *placement.PM) []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// toOpAssign converts a concrete assignment to its op encoding.
-func toOpAssign(a resource.Assignment) []record.OpAssign {
-	if len(a) == 0 {
-		return nil
-	}
-	out := make([]record.OpAssign, len(a))
-	for i, du := range a {
-		out[i] = record.OpAssign{Dim: du.Dim, Units: du.Units}
-	}
-	return out
 }

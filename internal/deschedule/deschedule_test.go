@@ -3,6 +3,7 @@ package deschedule
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -271,7 +272,8 @@ func TestMovesRecordedAsReleasePlacePairs(t *testing.T) {
 		mustHost(t, c, c.PMs()[i], newVM(i, "[1,1]"))
 	}
 	rec := record.NewCollector()
-	e := New(p, Config{DrainBelow: 0.3, Recorder: rec})
+	var moves []Move
+	e := New(p, Config{DrainBelow: 0.3, Recorder: rec, OnMove: func(m Move) { moves = append(moves, m) }})
 	st := e.Rebalance(c)
 	if st.Moves == 0 {
 		t.Fatal("no moves; recording not exercised")
@@ -296,6 +298,13 @@ func TestMovesRecordedAsReleasePlacePairs(t *testing.T) {
 		}
 		if pl.Seq != rel.Seq+1 {
 			t.Fatalf("op pair %d: seqs %d,%d not adjacent", i/2, rel.Seq, pl.Seq)
+		}
+		// The OnMove hook (the serve daemon's WAL path) sees the same
+		// encoding the recorder logged.
+		wantRel, wantPl := moves[i/2].Ops()
+		wantRel.Seq, wantPl.Seq = rel.Seq, pl.Seq
+		if !reflect.DeepEqual(rel, wantRel) || !reflect.DeepEqual(pl, wantPl) {
+			t.Fatalf("op pair %d: recorded %+v %+v, Move.Ops %+v %+v", i/2, rel, pl, wantRel, wantPl)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package record
 
-import "fmt"
+import (
+	"fmt"
+
+	"pagerankvm/internal/resource"
+)
 
 // OpAssign is one committed unit of an op's assignment: Units resource
 // units landed on global dimension index Dim of the hosting PM's
@@ -9,6 +13,32 @@ import "fmt"
 type OpAssign struct {
 	Dim   int `json:"dim"`
 	Units int `json:"units"`
+}
+
+// ToOpAssign converts a concrete assignment to its op encoding (nil for
+// an empty assignment, which the JSON encoding omits).
+func ToOpAssign(a resource.Assignment) []OpAssign {
+	if len(a) == 0 {
+		return nil
+	}
+	out := make([]OpAssign, len(a))
+	for i, du := range a {
+		out[i] = OpAssign{Dim: du.Dim, Units: du.Units}
+	}
+	return out
+}
+
+// FromOpAssign converts an op's assignment back to the placement form —
+// the inverse of ToOpAssign.
+func FromOpAssign(a []OpAssign) resource.Assignment {
+	if len(a) == 0 {
+		return nil
+	}
+	out := make(resource.Assignment, len(a))
+	for i, du := range a {
+		out[i] = resource.DimUnits{Dim: du.Dim, Units: du.Units}
+	}
+	return out
 }
 
 // Op is one applied cluster mutation — the write-ahead-log entry shape

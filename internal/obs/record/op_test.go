@@ -5,7 +5,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"pagerankvm/internal/resource"
 )
 
 // Ops round-trip through the JSONL stream with seq numbers shared with
@@ -134,5 +137,21 @@ func TestOpCollector(t *testing.T) {
 	ops := r.Ops()
 	if len(ops) != 1 || ops[0].Assign[0] != (OpAssign{Dim: 1, Units: 2}) {
 		t.Fatalf("collector retained aliased scratch: %+v", ops)
+	}
+}
+
+// ToOpAssign and FromOpAssign are inverses, and both map an empty
+// assignment to nil (which the JSON encoding omits).
+func TestOpAssignRoundTrip(t *testing.T) {
+	a := resource.Assignment{{Dim: 0, Units: 2}, {Dim: 3, Units: 1}}
+	enc := ToOpAssign(a)
+	if len(enc) != 2 || enc[1] != (OpAssign{Dim: 3, Units: 1}) {
+		t.Fatalf("ToOpAssign(%v) = %+v", a, enc)
+	}
+	if back := FromOpAssign(enc); !reflect.DeepEqual(back, a) {
+		t.Fatalf("FromOpAssign(ToOpAssign(%v)) = %v", a, back)
+	}
+	if ToOpAssign(resource.Assignment{}) != nil || FromOpAssign([]OpAssign{}) != nil {
+		t.Fatal("empty assignments must convert to nil")
 	}
 }

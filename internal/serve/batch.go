@@ -6,7 +6,6 @@ import (
 
 	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/placement"
-	"pagerankvm/internal/resource"
 )
 
 // Sentinel errors surfaced by the admission path; http.go maps them to
@@ -39,16 +38,13 @@ type placeReq struct {
 	done chan placeResult
 }
 
-// placeResult is the outcome of a placeReq.
+// placeResult is the outcome of a placeReq: the committed place op
+// (its Seq assigned), or for a duplicate just the existing host in
+// op.PM with Seq -1.
 type placeResult struct {
-	pmID   int
-	pmType string
-	assign resource.Assignment
-	score  float64
-	opened bool
-	dup    bool
-	seq    int64
-	err    error
+	op  record.Op
+	dup bool
+	err error
 }
 
 // batcher drains one shard's admission queue: it blocks for the first
@@ -135,33 +131,23 @@ func (s *Server) commitBatch(sh *shard, batch []*placeReq) {
 	results := make([]placeResult, len(batch))
 	wrote := false
 
-	nops := int64(0)
 	sh.mu.Lock()
 	for i, req := range batch {
 		results[i] = s.placeLocked(sh, req)
-		if results[i].err == nil && !results[i].dup {
-			wrote = true
-			nops++
-		}
+		wrote = wrote || (results[i].err == nil && !results[i].dup)
 	}
 	sh.mu.Unlock()
 
 	var flushErr error
 	if wrote {
-		flushErr = s.wal.flush()
-		if flushErr != nil {
-			s.walBroken.Store(true)
-			s.met.walErrors.Inc()
-		} else {
-			s.noteOps(nops)
-		}
+		flushErr = s.flush()
 	}
 
 	for i, req := range batch {
 		res := results[i]
 		if flushErr != nil && res.err == nil && !res.dup {
 			// The op may not be durable; do not acknowledge it.
-			res = placeResult{err: errWALFailed}
+			res = placeResult{err: flushErr}
 		}
 		if errors.Is(res.err, placement.ErrNoCapacity) && req.tried < len(s.shards) {
 			s.met.forwards.Inc()
@@ -172,15 +158,14 @@ func (s *Server) commitBatch(sh *shard, batch []*placeReq) {
 	}
 }
 
-// placeLocked handles one request under sh.mu: duplicate check, placer
-// decision, cluster commit, WAL append. The append happens inside the
-// critical section so the WAL's per-PM op order always equals the apply
-// order — the invariant replay relies on.
+// placeLocked handles one request under sh.mu: duplicate check,
+// placer decision, then apply (cluster commit and WAL append). The
+// append happens inside the critical section so the WAL's per-PM op
+// order always equals the apply order — the invariant replay relies on.
 func (s *Server) placeLocked(sh *shard, req *placeReq) placeResult {
 	if e, ok := s.loc.Load(req.vm.ID); ok {
-		le := e.(locEntry)
 		s.met.placeDups.Inc()
-		return placeResult{dup: true, pmID: le.pm, seq: -1}
+		return placeResult{op: record.Op{PM: e.(locEntry).pm, Seq: -1}, dup: true}
 	}
 	pm, assign, err := sh.placer.Place(sh.cluster, req.vm, req.exclude)
 	if err != nil {
@@ -193,28 +178,21 @@ func (s *Server) placeLocked(sh *shard, req *placeReq) placeResult {
 		// list scores 0 by convention (no candidate beat it).
 		score, _ = sh.placer.ScoreOn(pm, req.vm)
 	}
-	if err := sh.cluster.Host(pm, req.vm, assign); err != nil {
-		return placeResult{err: err}
-	}
-	s.loc.Store(req.vm.ID, locEntry{shard: sh.idx, pm: pm.ID})
-	seq := s.wal.appendOp(record.Op{
+	op := record.Op{
 		Kind:   record.OpPlace,
 		VM:     req.vm.ID,
 		VMType: req.vm.Type,
 		PM:     pm.ID,
 		PMType: pm.Type,
-		Assign: toOpAssign(assign),
+		Assign: record.ToOpAssign(assign),
 		Score:  score,
 		Opened: opened,
-	})
-	return placeResult{
-		pmID:   pm.ID,
-		pmType: pm.Type,
-		assign: assign,
-		score:  score,
-		opened: opened,
-		seq:    seq,
 	}
+	op.Seq, err = s.apply(sh, op, pm, placement.Hosted{VM: req.vm, Assign: assign}, applyLive)
+	if err != nil {
+		return placeResult{err: err}
+	}
+	return placeResult{op: op}
 }
 
 // forward offers a no-capacity request to the next shard in the ring.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -198,16 +199,33 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, ErrorResponse{Code: code, Error: err.Error()})
 }
 
-// decodeBody decodes a JSON request body, rejecting unknown fields so
-// client typos fail loudly.
+// maxBodyBytes bounds a request body. Every v1 body is a small JSON
+// object; one this large is a client bug, not a request.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes a JSON request body of one object, rejecting
+// unknown fields so client typos fail loudly, trailing data after the
+// object (400 bad_request), and bodies over maxBodyBytes (413
+// body_too_large).
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decode body: %w", err))
+	err := dec.Decode(v)
+	if err == nil {
+		// One object per body: the next read must find only EOF.
+		if err = dec.Decode(&struct{}{}); err == io.EOF {
+			return true
+		}
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	if errors.As(err, new(*http.MaxBytesError)) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large", fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
 		return false
 	}
-	return true
+	writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decode body: %w", err))
+	return false
 }
 
 // checkMutable gates mutating handlers: POST only, not shutting down,
@@ -254,13 +272,13 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, PlaceResponse{
 		VM:        req.VM,
-		PM:        res.pmID,
-		PMType:    res.pmType,
-		Score:     res.score,
-		Opened:    res.opened,
+		PM:        res.op.PM,
+		PMType:    res.op.PMType,
+		Score:     res.op.Score,
+		Opened:    res.op.Opened,
 		Duplicate: res.dup,
-		Seq:       res.seq,
-		Assign:    toOpAssign(res.assign),
+		Seq:       res.op.Seq,
+		Assign:    res.op.Assign,
 	})
 }
 
@@ -294,44 +312,56 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.releaseReqs.Inc()
-	pmID, seq, err := s.release(req.VM)
+	op, err := s.release(req.VM)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "not_placed", err)
 		return
 	}
-	if err := s.wal.flush(); err != nil {
-		s.walBroken.Store(true)
-		s.met.walErrors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "wal_failed", errWALFailed)
+	if err := s.flush(); err != nil {
+		writeError(w, http.StatusServiceUnavailable, "wal_failed", err)
 		return
 	}
-	s.noteOps(1)
-	writeJSON(w, http.StatusOK, ReleaseResponse{VM: req.VM, PM: pmID, Seq: seq})
+	writeJSON(w, http.StatusOK, ReleaseResponse{VM: req.VM, PM: op.PM, Seq: op.Seq})
 }
 
-// release removes a VM under its host shard's lock and appends the
-// release op. The caller flushes.
-func (s *Server) release(vmID int) (pmID int, seq int64, err error) {
-	e, ok := s.loc.Load(vmID)
+// release removes a VM from the shard the directory names and returns
+// the appended release op. The caller flushes. The directory is read
+// without a lock, so by the time the shard lock is held an evict may
+// have moved the VM to another shard; the directory then names the new
+// shard (or none, while the VM is between hosts), so release re-reads
+// it. Under a shard's lock the directory and that shard's cluster
+// agree, so each retry follows a real cross-shard move.
+func (s *Server) release(vmID int) (record.Op, error) {
+	for {
+		e, ok := s.loc.Load(vmID)
+		if !ok {
+			return record.Op{}, fmt.Errorf("serve: vm %d not placed", vmID)
+		}
+		sh := s.shards[e.(locEntry).shard]
+		sh.mu.Lock()
+		op, _, ok := s.releaseLocked(sh, vmID)
+		sh.mu.Unlock()
+		if ok {
+			return op, nil
+		}
+	}
+}
+
+// releaseLocked releases a VM from its host in sh and returns the
+// appended op and the VM's hosted record, or false when the VM is not
+// on this shard. The host is resolved with Cluster.Locate under sh.mu,
+// so the op — and every reply built from it — names the PM the VM
+// actually left, even when a rebalance moved it after the caller's
+// directory lookup.
+func (s *Server) releaseLocked(sh *shard, vmID int) (record.Op, placement.Hosted, bool) {
+	pm, ok := sh.cluster.Locate(vmID)
 	if !ok {
-		return 0, 0, fmt.Errorf("serve: vm %d not placed", vmID)
+		return record.Op{}, placement.Hosted{}, false
 	}
-	le := e.(locEntry)
-	sh := s.shards[le.shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	h, err := sh.cluster.Release(vmID)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.loc.Delete(vmID)
-	seq = s.wal.appendOp(record.Op{
-		Kind:   record.OpRelease,
-		VM:     vmID,
-		VMType: h.VM.Type,
-		PM:     le.pm,
-	})
-	return le.pm, seq, nil
+	h := pm.VMs()[vmID]
+	op := record.Op{Kind: record.OpRelease, VM: vmID, VMType: h.VM.Type, PM: pm.ID}
+	op.Seq, _ = s.apply(sh, op, nil, placement.Hosted{}, applyLive) // cannot fail: Locate just found the VM
+	return op, h, true
 }
 
 // handleEvict serves POST /v1/evict: release a victim from the source
@@ -365,13 +395,10 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if err := s.wal.flush(); err != nil {
-		s.walBroken.Store(true)
-		s.met.walErrors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "wal_failed", errWALFailed)
+	if err := s.flush(); err != nil {
+		writeError(w, http.StatusServiceUnavailable, "wal_failed", err)
 		return
 	}
-	s.noteOps(1)
 
 	res := s.submitPlace(hosted.VM, pm)
 	if res.err != nil {
@@ -381,14 +408,11 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("re-place failed (%v) and restore failed: %w", res.err, rerr))
 			return
 		}
-		// The compensating place op restore appended counts toward the
-		// snapshot cadence like any other committed op.
-		s.noteOps(1)
 		writeError(w, http.StatusConflict, "no_capacity",
 			fmt.Errorf("serve: no destination for vm %d; restored to pm %d", victim, pm.ID))
 		return
 	}
-	writeJSON(w, http.StatusOK, EvictResponse{VM: victim, From: pm.ID, To: res.pmID, Seq: res.seq})
+	writeJSON(w, http.StatusOK, EvictResponse{VM: victim, From: pm.ID, To: res.op.PM, Seq: res.op.Seq})
 }
 
 // evictVictim resolves the source PM, picks (or validates) the victim,
@@ -425,17 +449,7 @@ func (s *Server) evictVictim(sh *shard, pmID int, want *int) (int, placement.Hos
 		}
 		victim = id
 	}
-	h, err := sh.cluster.Release(victim)
-	if err != nil {
-		return 0, placement.Hosted{}, nil, err
-	}
-	s.loc.Delete(victim)
-	s.wal.appendOp(record.Op{
-		Kind:   record.OpRelease,
-		VM:     victim,
-		VMType: h.VM.Type,
-		PM:     pm.ID,
-	})
+	_, h, _ := s.releaseLocked(sh, victim) // the victim is on pm: checked or chosen above
 	return victim, h, pm, nil
 }
 
@@ -445,26 +459,20 @@ func (s *Server) evictVictim(sh *shard, pmID int, want *int) (int, placement.Hos
 func (s *Server) restore(sh *shard, pm *placement.PM, h placement.Hosted) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.cluster.Host(pm, h.VM, h.Assign); err != nil {
-		return err
-	}
-	s.loc.Store(h.VM.ID, locEntry{shard: sh.idx, pm: pm.ID})
-	s.wal.appendOp(record.Op{
+	op := record.Op{
 		Kind:   record.OpPlace,
 		VM:     h.VM.ID,
 		VMType: h.VM.Type,
 		PM:     pm.ID,
 		PMType: pm.Type,
-		Assign: toOpAssign(h.Assign),
-	})
-	// Flushing under the shard lock follows the shard.mu -> wal.mu lock
-	// order; the compensating op must be durable before we answer.
-	if err := s.wal.flush(); err != nil {
-		s.walBroken.Store(true)
-		s.met.walErrors.Inc()
+		Assign: record.ToOpAssign(h.Assign),
+	}
+	if _, err := s.apply(sh, op, pm, h, applyLive); err != nil {
 		return err
 	}
-	return nil
+	// Flushing under the shard lock follows the shard.mu -> wal.mu lock
+	// order; the compensating op must be durable before we answer.
+	return s.flush()
 }
 
 // handleDrain serves POST /v1/drain: a maintenance drain. The PM is
@@ -515,7 +523,6 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 					fmt.Errorf("drain re-place failed (%v) and restore failed: %w", res.err, rerr))
 				return
 			}
-			s.noteOps(2) // the release op and its compensating place op
 			s.uncordon(sh, pm)
 			if errors.Is(res.err, placement.ErrNoCapacity) {
 				writeError(w, http.StatusConflict, "no_capacity",
@@ -525,10 +532,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 			s.writePlaceError(w, res.err)
 			return
 		}
-		// The place op was counted by its batch commit; count the
-		// release op here.
-		s.noteOps(1)
-		moves = append(moves, DrainMove{VM: vmID, To: res.pmID})
+		moves = append(moves, DrainMove{VM: vmID, To: res.op.PM})
 	}
 
 	seq, err := s.retirePM(sh, pm)
@@ -539,13 +543,10 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "conflict", err)
 		return
 	}
-	if err := s.wal.flush(); err != nil {
-		s.walBroken.Store(true)
-		s.met.walErrors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "wal_failed", errWALFailed)
+	if err := s.flush(); err != nil {
+		writeError(w, http.StatusServiceUnavailable, "wal_failed", err)
 		return
 	}
-	s.noteOps(1)
 	writeJSON(w, http.StatusOK, DrainResponse{PM: req.PM, Moves: moves, Retired: true, Seq: seq})
 }
 
@@ -579,17 +580,7 @@ func (s *Server) releaseForDrain(sh *shard, pm *placement.PM, vmID int) (placeme
 	if _, ok := pm.VMs()[vmID]; !ok {
 		return placement.Hosted{}, false
 	}
-	h, err := sh.cluster.Release(vmID)
-	if err != nil {
-		return placement.Hosted{}, false
-	}
-	s.loc.Delete(vmID)
-	s.wal.appendOp(record.Op{
-		Kind:   record.OpRelease,
-		VM:     vmID,
-		VMType: h.VM.Type,
-		PM:     pm.ID,
-	})
+	_, h, _ := s.releaseLocked(sh, vmID)
 	return h, true
 }
 
@@ -598,17 +589,7 @@ func (s *Server) releaseForDrain(sh *shard, pm *placement.PM, vmID int) (placeme
 func (s *Server) retirePM(sh *shard, pm *placement.PM) (int64, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.cluster.Retire(pm); err != nil {
-		return 0, err
-	}
-	delete(sh.pms, pm.ID)
-	sh.retired = append(sh.retired, pm.ID)
-	seq := s.wal.appendOp(record.Op{
-		Kind:   record.OpRetire,
-		PM:     pm.ID,
-		PMType: pm.Type,
-	})
-	return seq, nil
+	return s.apply(sh, record.Op{Kind: record.OpRetire, PM: pm.ID, PMType: pm.Type}, pm, placement.Hosted{}, applyLive)
 }
 
 // handleCluster serves GET /v1/cluster.

@@ -64,8 +64,12 @@ func foldDataDir(t *testing.T, dir string) map[int]foldedVM {
 				}
 				state[op.VM] = foldedVM{Type: op.VMType, PM: op.PM, Assign: op.Assign}
 			case record.OpRelease:
-				if _, ok := state[op.VM]; !ok {
+				fv, ok := state[op.VM]
+				if !ok {
 					return fmt.Errorf("fold: seq %d releases unplaced vm %d", op.Seq, op.VM)
+				}
+				if fv.PM != op.PM {
+					return fmt.Errorf("fold: seq %d releases vm %d from pm %d; it is on pm %d", op.Seq, op.VM, op.PM, fv.PM)
 				}
 				delete(state, op.VM)
 			case record.OpRetire:
@@ -95,7 +99,7 @@ func serverPlacements(s *Server) map[int]foldedVM {
 			vms := pm.VMs()
 			for _, id := range sortedVMIDs(pm) {
 				h := vms[id]
-				out[id] = foldedVM{Type: h.VM.Type, PM: pm.ID, Assign: toOpAssign(h.Assign)}
+				out[id] = foldedVM{Type: h.VM.Type, PM: pm.ID, Assign: record.ToOpAssign(h.Assign)}
 			}
 		}
 		sh.mu.Unlock()

@@ -35,7 +35,6 @@ import (
 	"pagerankvm/internal/obs/record"
 	"pagerankvm/internal/placement"
 	"pagerankvm/internal/ranktable"
-	"pagerankvm/internal/resource"
 )
 
 // Config parameterizes a Server. Rankers, PMs and NewVM are required;
@@ -240,7 +239,7 @@ func New(cfg Config) (*Server, error) {
 	// One descheduler engine per shard, sharing the shard's placer so
 	// rebalance moves draw from the same rank tables and seeded rng as
 	// admission. OnMove runs inside Rebalance — under the shard lock —
-	// so the appendOp calls follow the shard.mu -> wal.mu lock order.
+	// so the WAL appends follow the shard.mu -> wal.mu lock order.
 	for _, sh := range s.shards {
 		sh := sh
 		rcfg := cfg.Rebalance
@@ -249,22 +248,11 @@ func New(cfg Config) (*Server, error) {
 		}
 		rcfg.Recorder = nil
 		rcfg.OnMove = func(m deschedule.Move) {
-			s.wal.appendOp(record.Op{
-				Kind:   record.OpRelease,
-				VM:     m.VM,
-				VMType: m.VMType,
-				PM:     m.From,
-			})
-			s.wal.appendOp(record.Op{
-				Kind:   record.OpPlace,
-				VM:     m.VM,
-				VMType: m.VMType,
-				PM:     m.To,
-				PMType: m.ToType,
-				Assign: toOpAssign(m.Assign),
-				Score:  m.Score,
-			})
-			s.loc.Store(m.VM, locEntry{shard: sh.idx, pm: m.To})
+			release, place := m.Ops()
+			// applyMoved never fails: it leaves the cluster alone
+			// and both op kinds are known.
+			_, _ = s.apply(sh, release, nil, placement.Hosted{}, applyMoved)
+			_, _ = s.apply(sh, place, nil, placement.Hosted{}, applyMoved)
 		}
 		sh.engine = deschedule.New(sh.placer, rcfg)
 	}
@@ -341,15 +329,12 @@ func (s *Server) RebalanceNow() (deschedule.RoundStats, error) {
 			// Flushing under the shard lock follows the shard.mu ->
 			// wal.mu lock order; the moves must be durable before the
 			// shard accepts interleaving mutations.
-			ferr = s.wal.flush()
+			ferr = s.flush()
 		}
 		sh.mu.Unlock()
 		if ferr != nil {
-			s.walBroken.Store(true)
-			s.met.walErrors.Inc()
-			return total, errWALFailed
+			return total, ferr
 		}
-		s.noteOps(int64(2 * st.Moves))
 		total.Add(st)
 	}
 	return total, nil
@@ -460,69 +445,99 @@ func (s *Server) pmShard(pmID int) int { return int(hashID(pmID) % uint32(len(s.
 // first.
 func (s *Server) vmShard(vmID int) int { return int(hashID(vmID) % uint32(len(s.shards))) }
 
-// toOpAssign converts a concrete assignment to its WAL encoding.
-func toOpAssign(a resource.Assignment) []record.OpAssign {
-	if len(a) == 0 {
-		return nil
-	}
-	out := make([]record.OpAssign, len(a))
-	for i, du := range a {
-		out[i] = record.OpAssign{Dim: du.Dim, Units: du.Units}
-	}
-	return out
-}
+// applyMode selects which halves of the state transition apply runs.
+type applyMode uint8
 
-// fromOpAssign converts a WAL assignment back to the placement form.
-func fromOpAssign(a []record.OpAssign) resource.Assignment {
-	if len(a) == 0 {
-		return nil
-	}
-	out := make(resource.Assignment, len(a))
-	for i, du := range a {
-		out[i] = resource.DimUnits{Dim: du.Dim, Units: du.Units}
-	}
-	return out
-}
+const (
+	// applyLive commits to the cluster and the VM directory, then appends
+	// the op to the WAL.
+	applyLive applyMode = iota
+	// applyReplay re-applies an op read back from disk (a snapshot or the
+	// WAL tail): cluster and directory, no append.
+	applyReplay
+	// applyMoved logs a descheduler move whose cluster half the engine has
+	// already committed: directory and WAL only. The release half
+	// leaves the directory alone — the place half re-points it — so
+	// the VM never looks unplaced to a concurrent duplicate check.
+	applyMoved
+)
 
-// applyOp applies one WAL op to the in-memory state. It is the replay
-// half of the durability contract: the live path records exactly what
-// it applied, this path applies exactly what was recorded. Callers
-// serialize (recovery is single-threaded).
-func (s *Server) applyOp(op record.Op) error {
-	switch op.Kind {
-	case record.OpPlace:
-		sh := s.shards[s.pmShard(op.PM)]
-		pm, ok := sh.pms[op.PM]
-		if !ok {
-			return fmt.Errorf("serve: replay seq %d: pm %d not in inventory", op.Seq, op.PM)
+// apply is the daemon's one state transition. Every live mutation
+// (admission, client release, evict and drain moves, their
+// compensations, retirement, descheduler moves) and both recovery
+// paths (snapshot load, WAL replay) go through it, so "the state is
+// the fold of the WAL" rests on this function alone: what the live
+// path appends is exactly what it applied, and replay applies exactly
+// what was appended. The caller holds sh.mu (recovery is
+// single-threaded), builds op, and passes the live objects op names:
+// pm for a place or a retire, h (VM and assignment) for a place. It
+// returns the op's seq.
+func (s *Server) apply(sh *shard, op record.Op, pm *placement.PM, h placement.Hosted, mode applyMode) (int64, error) {
+	switch {
+	case mode == applyMoved:
+		if op.Kind == record.OpPlace {
+			s.loc.Store(op.VM, locEntry{shard: sh.idx, pm: op.PM})
 		}
-		vm, err := s.cfg.NewVM(op.VM, op.VMType)
-		if err != nil {
-			return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
+	case op.Kind == record.OpPlace:
+		if err := sh.cluster.Host(pm, h.VM, h.Assign); err != nil {
+			return 0, err
 		}
-		if err := sh.cluster.Host(pm, vm, fromOpAssign(op.Assign)); err != nil {
-			return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
-		}
-		s.loc.Store(op.VM, locEntry{shard: sh.idx, pm: pm.ID})
-	case record.OpRelease:
-		sh := s.shards[s.pmShard(op.PM)]
+		s.loc.Store(op.VM, locEntry{shard: sh.idx, pm: op.PM})
+	case op.Kind == record.OpRelease:
 		if _, err := sh.cluster.Release(op.VM); err != nil {
-			return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
+			return 0, err
 		}
 		s.loc.Delete(op.VM)
-	case record.OpRetire:
-		sh := s.shards[s.pmShard(op.PM)]
-		pm, ok := sh.pms[op.PM]
-		if !ok {
-			return fmt.Errorf("serve: replay seq %d: pm %d not in inventory", op.Seq, op.PM)
-		}
+	case op.Kind == record.OpRetire:
 		if err := sh.cluster.Retire(pm); err != nil {
-			return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
+			return 0, err
 		}
 		delete(sh.pms, op.PM)
 		sh.retired = append(sh.retired, op.PM)
 	default:
-		return fmt.Errorf("serve: replay seq %d: unknown op kind %q", op.Seq, op.Kind)
+		return 0, fmt.Errorf("unknown op kind %q", op.Kind)
+	}
+	if mode == applyReplay {
+		return op.Seq, nil
+	}
+	s.noteOps(1)
+	return s.wal.appendOp(op), nil
+}
+
+// flush is the durability barrier for every op appended so far. A
+// failure degrades the server for good — state may now be ahead of the
+// log — so mutations are refused until a restart recovers from disk.
+func (s *Server) flush() error {
+	if err := s.wal.flush(); err != nil {
+		s.walBroken.Store(true)
+		s.met.walErrors.Inc()
+		return fmt.Errorf("%w: %v", errWALFailed, err)
+	}
+	return nil
+}
+
+// applyOp replays one WAL op: it resolves the PM and VM the op names
+// and hands them to apply. Callers serialize (recovery is
+// single-threaded).
+func (s *Server) applyOp(op record.Op) error {
+	sh := s.shards[s.pmShard(op.PM)]
+	var pm *placement.PM
+	var h placement.Hosted
+	if op.Kind != record.OpRelease {
+		var ok bool
+		if pm, ok = sh.pms[op.PM]; !ok {
+			return fmt.Errorf("serve: replay seq %d: pm %d not in inventory", op.Seq, op.PM)
+		}
+	}
+	if op.Kind == record.OpPlace {
+		vm, err := s.cfg.NewVM(op.VM, op.VMType)
+		if err != nil {
+			return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
+		}
+		h = placement.Hosted{VM: vm, Assign: record.FromOpAssign(op.Assign)}
+	}
+	if _, err := s.apply(sh, op, pm, h, applyReplay); err != nil {
+		return fmt.Errorf("serve: replay seq %d: %w", op.Seq, err)
 	}
 	return nil
 }

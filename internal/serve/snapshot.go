@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"pagerankvm/internal/obs/record"
+	"pagerankvm/internal/placement"
 )
 
 // Snapshot file framing. Like WAL segments, snapshots are named by
@@ -154,7 +155,7 @@ func (s *Server) capture(cut int64) snapshotFile {
 				sp.VMs = append(sp.VMs, snapVM{
 					ID:     vmID,
 					Type:   h.VM.Type,
-					Assign: toOpAssign(h.Assign),
+					Assign: record.ToOpAssign(h.Assign),
 				})
 			}
 			st.PMs = append(st.PMs, sp)
@@ -334,11 +335,9 @@ func (s *Server) applySnapshot(snap snapshotFile) error {
 			if !ok {
 				return fmt.Errorf("serve: snapshot retired pm %d not in shard %d inventory", pmID, i)
 			}
-			if err := sh.cluster.Retire(pm); err != nil {
+			if _, err := s.apply(sh, record.Op{Kind: record.OpRetire, PM: pmID}, pm, placement.Hosted{}, applyReplay); err != nil {
 				return fmt.Errorf("serve: snapshot retired pm %d: %w", pmID, err)
 			}
-			delete(sh.pms, pmID)
-			sh.retired = append(sh.retired, pmID)
 		}
 		for _, sp := range st.PMs {
 			pm, ok := sh.pms[sp.ID]
@@ -350,10 +349,11 @@ func (s *Server) applySnapshot(snap snapshotFile) error {
 				if err != nil {
 					return fmt.Errorf("serve: snapshot vm %d: %w", sv.ID, err)
 				}
-				if err := sh.cluster.Host(pm, vm, fromOpAssign(sv.Assign)); err != nil {
+				op := record.Op{Kind: record.OpPlace, VM: sv.ID, VMType: sv.Type, PM: sp.ID}
+				h := placement.Hosted{VM: vm, Assign: record.FromOpAssign(sv.Assign)}
+				if _, err := s.apply(sh, op, pm, h, applyReplay); err != nil {
 					return fmt.Errorf("serve: snapshot vm %d: %w", sv.ID, err)
 				}
-				s.loc.Store(sv.ID, locEntry{shard: i, pm: sp.ID})
 			}
 		}
 		if err := sh.cluster.Reorder(st.Used, st.Unused); err != nil {
