@@ -61,7 +61,7 @@ chaos:
 	$(GO) test -race -count=1 -run 'KillRecover' ./internal/serve/
 
 # Hot-path benchmark harness: runs the PlaceLookup / SpaceWire /
-# RanksCSR / RecordOverhead / TableCache / RebalanceStep
+# RanksCSR / RecordOverhead / TableCache / RebalanceStep / PlaceScan
 # micro-benchmarks, plus a record/replay macro-benchmark (throughput
 # and per-phase latency percentiles), and writes the comparisons to
 # BENCH_pr10.json (see README "Benchmarks").

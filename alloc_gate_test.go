@@ -2,13 +2,14 @@
 
 package pagerankvm_test
 
-// Allocation gate for the ~25ns ScoreOn fast path: the hotalloc
-// analyzer holds the annotated functions allocation-free statically,
-// and this test holds them there at runtime. Excluded under -race
-// because the race runtime instruments allocations and skews
-// AllocsPerRun.
+// Allocation gate for the ScoreOn fast path (a ~24ns memo read) and
+// the steady-state Algorithm 2 decision: the hotalloc analyzer holds
+// the annotated functions allocation-free statically, and these tests
+// hold them there at runtime. Excluded under -race because the race
+// runtime instruments allocations and skews the counts.
 
 import (
+	"runtime"
 	"testing"
 
 	"pagerankvm/internal/experiments"
@@ -96,5 +97,36 @@ func TestCacheHitZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cache-hit table lookup allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestPlaceSteadyStateAllocs holds a full Algorithm 2 decision on a
+// churn-2048 shard at no more than 3 allocations: the winner's
+// materialized assignment, nothing per scanned PM. The PM-side memo
+// allocates only on a PM's first scoring; after warm-up every PM the
+// churn touches has been scored, so a profile change re-fills the
+// memo in place. Only Place is counted — the request's VM and the
+// cluster commit allocate outside it.
+func TestPlaceSteadyStateAllocs(t *testing.T) {
+	s := newScanShard(t)
+	const ops = 300
+	var before, after runtime.MemStats
+	var allocs uint64
+	for i := 0; i < ops; i++ {
+		vm := s.next(t)
+		runtime.ReadMemStats(&before)
+		pm, assign, err := s.placer.Place(s.cluster, vm, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs += after.Mallocs - before.Mallocs
+		s.commit(t, pm, vm, assign)
+		s.release(t)
+	}
+	perOp := float64(allocs) / ops
+	t.Logf("Place allocates %.2f times per decision", perOp)
+	if perOp > 3 {
+		t.Fatalf("Place allocates %.2f times per decision in steady state, want <= 3", perOp)
 	}
 }

@@ -8,6 +8,8 @@ package pagerankvm_test
 
 import (
 	"io"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"pagerankvm/internal/experiments"
@@ -69,6 +71,114 @@ func benchPlaceLookup(b *testing.B, opts ...placement.PageRankOption) {
 func BenchmarkPlaceLookup(b *testing.B) {
 	b.Run("fast", func(b *testing.B) { benchPlaceLookup(b) })
 	b.Run("legacy", func(b *testing.B) { benchPlaceLookup(b, placement.WithoutFastPath()) })
+}
+
+// scanShard is one churn-2048 serving shard in steady state: 512 PMs
+// per Table II type and ~2,000 resident Table I VMs drawn with
+// experiments.VMMix weights, reached by seeded mean-reverting churn
+// (the servebench churn mix), so ~300 used PMs hold fragmented
+// profiles and each place scans all of them.
+type scanShard struct {
+	cat      *experiments.Catalog
+	placer   *placement.PageRankVM
+	cluster  *placement.Cluster
+	rng      *rand.Rand
+	names    []string
+	mix      map[string]float64
+	resident []*placement.VM
+	nextID   int
+}
+
+// scanTarget is the shard's resident population: a quarter of
+// churn-2048's 8,000 VMs over four shards.
+const scanTarget = 2000
+
+func newScanShard(tb testing.TB) *scanShard {
+	tb.Helper()
+	cat, err := experiments.AmazonCatalog()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reg, err := cat.BuildRegistry(ranktable.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := &scanShard{
+		cat:     cat,
+		placer:  placement.NewPageRankVM(reg, placement.WithSeed(3)),
+		cluster: cat.BuildCluster(512),
+		rng:     rand.New(rand.NewSource(3)),
+		mix:     experiments.VMMix(),
+	}
+	for _, vm := range cat.VMs {
+		s.names = append(s.names, vm.Name)
+	}
+	sort.Strings(s.names)
+	for len(s.resident) < scanTarget {
+		s.host(tb, s.next(tb))
+	}
+	// Mean-reverting churn: place with probability 0.5 at the target,
+	// more below it and less above it.
+	for i := 0; i < 4*scanTarget; i++ {
+		p := 0.5 + 8*float64(scanTarget-len(s.resident))/scanTarget
+		if s.rng.Float64() < p {
+			s.host(tb, s.next(tb))
+		} else {
+			s.release(tb)
+		}
+	}
+	return s
+}
+
+// next draws the next VM request from the mix.
+func (s *scanShard) next(tb testing.TB) *placement.VM {
+	s.nextID++
+	vm, err := s.cat.NewVM(s.nextID, experiments.SampleVMType(s.mix, s.names, s.rng.Float64()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return vm
+}
+
+// host places vm with Algorithm 2 and commits the decision.
+func (s *scanShard) host(tb testing.TB, vm *placement.VM) {
+	pm, assign, err := s.placer.Place(s.cluster, vm, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.commit(tb, pm, vm, assign)
+}
+
+func (s *scanShard) commit(tb testing.TB, pm *placement.PM, vm *placement.VM, assign resource.Assignment) {
+	if err := s.cluster.Host(pm, vm, assign); err != nil {
+		tb.Fatal(err)
+	}
+	s.resident = append(s.resident, vm)
+}
+
+// release removes a uniformly drawn resident VM.
+func (s *scanShard) release(tb testing.TB) {
+	k := s.rng.Intn(len(s.resident))
+	if _, err := s.cluster.Release(s.resident[k].ID); err != nil {
+		tb.Fatal(err)
+	}
+	s.resident[k] = s.resident[len(s.resident)-1]
+	s.resident = s.resident[:len(s.resident)-1]
+}
+
+// BenchmarkPlaceScan times Algorithm 2's scan where serving spends it:
+// one op is one place plus one release on a churn-2048 shard in steady
+// state, so every place scans ~300 used PMs of which only the ones the
+// previous op touched changed profile.
+func BenchmarkPlaceScan(b *testing.B) {
+	s := newScanShard(b)
+	b.ReportMetric(float64(s.cluster.NumUsed()), "used_pms")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.host(b, s.next(b))
+		s.release(b)
+	}
 }
 
 // BenchmarkRecordOverhead measures one full Place decision against the

@@ -119,7 +119,7 @@ var variantPairs = [][2]string{
 func run(args []string) error {
 	fs := flag.NewFlagSet("prvm-bench", flag.ContinueOnError)
 	var (
-		benchRe   = fs.String("bench", "BenchmarkPlaceLookup|BenchmarkSpaceWire|BenchmarkRanksCSR|BenchmarkRecordOverhead|BenchmarkTableCache|BenchmarkRebalanceStep", "benchmark regex passed to go test -bench")
+		benchRe   = fs.String("bench", "BenchmarkPlaceLookup|BenchmarkSpaceWire|BenchmarkRanksCSR|BenchmarkRecordOverhead|BenchmarkTableCache|BenchmarkRebalanceStep|BenchmarkPlaceScan", "benchmark regex passed to go test -bench")
 		pkg       = fs.String("pkg", ".", "package pattern to benchmark")
 		benchtime = fs.String("benchtime", "", "go test -benchtime value (empty = default)")
 		count     = fs.Int("count", 1, "go test -count value")

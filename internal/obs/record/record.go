@@ -90,11 +90,14 @@ const (
 	StatusScored = "scored"
 	// StatusExcluded: the PM was the migration source (exclude arg).
 	StatusExcluded = "excluded"
-	// StatusNoFit: capacity or anti-collocation rejection
-	// (resource.Fits said no).
+	// StatusNoFit: capacity or anti-collocation rejection — the
+	// rank table's best move found no successor profile, or (on the
+	// enumeration path) resource.Fits said no — or the VM type has
+	// no quantized demand on the PM type.
 	StatusNoFit = "no_fit"
 	// StatusNoDemand: the VM type has no quantized demand on this PM
-	// type.
+	// type. Kept for the schema: PageRankVM records a missing demand
+	// as StatusNoFit, and no current placer emits this status.
 	StatusNoDemand = "no_demand"
 	// StatusNoProfile: the accommodation left the rank table (no
 	// feasible successor profile scored).
@@ -128,7 +131,9 @@ type Phases struct {
 	// fallback, unused-list) loop including scoring.
 	ScanNs int64 `json:"scan_ns"`
 	// CheckNs is the constraint check: time inside capacity /
-	// anti-collocation feasibility tests (a subset of ScanNs).
+	// anti-collocation feasibility tests (a subset of ScanNs). The
+	// placer's fast path answers feasibility from its memoised best
+	// moves, so only enumeration-path candidates add to it.
 	CheckNs int64 `json:"check_ns"`
 	// BindNs is the winner bind: materializing and aligning the
 	// chosen PM's concrete assignment.

@@ -63,15 +63,12 @@ type PM struct {
 	// succeeds (compensation paths re-host a released VM explicitly).
 	cordon bool
 
-	// gen counts profile mutations (host/remove). The fast-path
-	// placer caches the lattice node ids of the used profile here (see
-	// pmNodeIDs in pagerankvm.go); the cache is valid while
-	// rankGen == gen and rankOwner is the ranker that resolved it.
-	gen       uint64
-	rankIDs   []int32
-	rankGen   uint64
-	rankOwner any
-	rankOK    bool
+	// gen counts profile mutations (host/remove). rank is the
+	// fast-path placer's memo of the profile — its lattice node ids and
+	// best moves per VM type (see rankCache in pagerankvm.go) — valid
+	// while rank.gen == gen for the ranker that filled it.
+	gen  uint64
+	rank rankCache
 }
 
 // NewPM returns an empty PM.

@@ -205,214 +205,215 @@ func (p *PageRankVM) Place(c *Cluster, vm *VM, exclude *PM) (*PM, resource.Assig
 		p.met.twoChoiceDraws.Inc()
 	}
 
-	// rec gates every recording expense — candidate-set assembly,
+	// s.rec gates every recording expense — candidate-set assembly,
 	// tie-path tracking, phase clocks — behind one branch, so the
-	// disabled path stays byte-for-byte the pre-recording loop.
-	rec := p.rec.Active()
-	var (
-		recCands  []record.Candidate
-		recTied   []int
-		ph        record.Phases
-		scanStart time.Time
-	)
-	if rec {
-		recCands = p.recCands[:0]
-		recTied = p.recTied[:0]
-		scanStart = time.Now()
+	// disabled path stays the bare scan.
+	s := scan{vm: vm, exclude: exclude, rec: p.rec.Active()}
+	if s.rec {
+		s.cands, s.tied, s.start = p.recCands[:0], p.recTied[:0], time.Now()
 	}
-
 	var (
 		bestPM     *PM
 		bestAssign resource.Assignment
-		bestBind   binding
+		bestBind   *binding
 		bestScore  = -1.0
-		ties       = 0
-		scanned    = 0
-		profiles   = 0
 	)
 	for _, pm := range candidates {
-		scanned++
-		if rec {
-			if pm == exclude {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusExcluded})
-				continue
-			}
-			if pm.Cordoned() {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusCordoned})
-				continue
-			}
-			t0 := time.Now()
-			fits := pm.Fits(vm)
-			ph.CheckNs += int64(time.Since(t0))
-			if !fits {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoFit})
-				continue
-			}
-		} else if pm == exclude || pm.Cordoned() || !pm.Fits(vm) {
-			continue
-		}
-		b, err := p.binding(pm.Type, vm)
+		s.scanned++
+		b, score, assign, v, err := p.candidate(&s, pm, false)
 		if err != nil {
 			return nil, nil, err
 		}
-		if !b.hasDemand {
-			if rec {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoDemand})
-			}
+		if v != scored {
 			continue
-		}
-		score, assign, n, ok := p.scoreCandidate(b, pm)
-		profiles += n
-		if !ok {
-			if rec {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoProfile, Profiles: n})
-			}
-			continue
-		}
-		if rec {
-			recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusScored, Score: score, Profiles: n})
 		}
 		switch {
 		case score > bestScore*(1+scoreEpsilon):
 			bestScore, bestPM, bestAssign, bestBind = score, pm, assign, b
-			ties = 1
-			if rec {
-				recTied = append(recTied[:0], pm.ID)
+			s.ties = 1
+			if s.rec {
+				s.tied = append(s.tied[:0], pm.ID)
 			}
 		case score >= bestScore*(1-scoreEpsilon):
 			// Tie: reservoir-sample uniformly among tied candidates.
-			ties++
-			if p.rng.Intn(ties) == 0 {
+			s.ties++
+			if p.rng.Intn(s.ties) == 0 {
 				bestPM, bestAssign, bestBind = pm, assign, b
 			}
-			if rec {
-				recTied = append(recTied, pm.ID)
+			if s.rec {
+				s.tied = append(s.tied, pm.ID)
 			}
 		}
 	}
-	p.met.pmsScanned.Add(int64(scanned))
+	p.met.pmsScanned.Add(int64(s.scanned))
 	if bestPM != nil {
-		p.met.profilesScored.Add(int64(profiles))
-		if ties > 1 {
-			p.met.tiesBroken.Add(int64(ties - 1))
+		if s.ties > 1 {
+			p.met.tiesBroken.Add(int64(s.ties - 1))
 		}
-		var bindStart time.Time
-		if rec {
-			ph.ScanNs = int64(time.Since(scanStart))
-			bindStart = time.Now()
+		assign := p.bind(&s, bestPM, bestBind, bestAssign, bestScore, false)
+		if assign == nil {
+			return nil, nil, fmt.Errorf("placement: cannot materialize assignment on pm %d", bestPM.ID)
 		}
-		// Winners get their assignment here, once, instead of one per
-		// candidate: fast-path winners materialize from the move table,
-		// slow-path winners translate their canonical-coordinate
-		// assignment to the PM's actual dimension order.
-		if bestAssign == nil {
-			bestAssign = p.materialize(bestBind, bestPM)
-			if bestAssign == nil {
-				return nil, nil, fmt.Errorf("placement: cannot materialize assignment on pm %d", bestPM.ID)
-			}
-		} else {
-			bestAssign = alignAssign(bestPM.Shape, bestPM.used, bestAssign)
-		}
-		if rec {
-			ph.BindNs = int64(time.Since(bindStart))
-			p.recordPlace(vm, bestPM, bestScore, scanned, profiles, ties, recCands, recTied, bestBind.fast, false, &ph)
-		}
-		p.tracePlace(vm, bestPM, bestScore, scanned, profiles, ties, false)
-		return bestPM, bestAssign, nil
+		return bestPM, assign, nil
 	}
-	// Lines 17-24: fall back to an unused PM, choosing the
-	// best-scoring accommodation on the fresh profile.
+	// Lines 17-24: fall back to the first unused PM that can host the
+	// VM, choosing the best-scoring accommodation on the fresh profile.
 	for _, pm := range c.UnusedPMs() {
-		if rec {
-			if pm == exclude {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusExcluded, Unused: true})
-				continue
-			}
-			if pm.Cordoned() {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusCordoned, Unused: true})
-				continue
-			}
-			t0 := time.Now()
-			fits := pm.Fits(vm)
-			ph.CheckNs += int64(time.Since(t0))
-			if !fits {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoFit, Unused: true})
-				continue
-			}
-		} else if pm == exclude || pm.Cordoned() || !pm.Fits(vm) {
-			continue
-		}
-		b, err := p.binding(pm.Type, vm)
+		b, _, assign, v, err := p.candidate(&s, pm, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		if !b.hasDemand {
-			if rec {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoDemand, Unused: true})
-			}
+		if v != scored {
 			continue
 		}
-		_, assign, n, ok := p.scoreCandidate(b, pm)
-		profiles += n
-		if ok {
-			var bindStart time.Time
-			if rec {
-				recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusScored, Profiles: n, Unused: true})
-				ph.ScanNs = int64(time.Since(scanStart))
-				bindStart = time.Now()
-			}
-			if assign == nil {
-				assign = p.materialize(b, pm)
-			} else {
-				assign = alignAssign(pm.Shape, pm.used, assign)
-			}
-			if assign != nil {
-				p.met.profilesScored.Add(int64(profiles))
-				p.met.pmsOpened.Inc()
-				if rec {
-					ph.BindNs = int64(time.Since(bindStart))
-					p.recordPlace(vm, pm, 0, scanned, profiles, 0, recCands, nil, b.fast, true, &ph)
-				}
-				p.tracePlace(vm, pm, 0, scanned, profiles, 0, true)
-				return pm, assign, nil
-			}
-		} else if rec {
-			recCands = append(recCands, record.Candidate{PM: pm.ID, Status: record.StatusNoProfile, Profiles: n, Unused: true})
+		if assign = p.bind(&s, pm, b, assign, 0, true); assign != nil {
+			return pm, assign, nil
 		}
 	}
-	p.met.profilesScored.Add(int64(profiles))
+	p.met.profilesScored.Add(int64(s.profiles))
 	p.met.noCapacity.Inc()
-	if rec {
-		ph.ScanNs = int64(time.Since(scanStart))
-		p.recordPlace(vm, nil, 0, scanned, profiles, 0, recCands, nil, false, false, &ph)
+	if s.rec {
+		s.ph.ScanNs = int64(time.Since(s.start))
+		p.recordPlace(&s, nil, 0, false, false)
 	}
 	return nil, nil, ErrNoCapacity
 }
 
+// scan is one Place call's bookkeeping: the request, the scan counters
+// and — when a recorder is attached — the candidate set, the tie path
+// and the phase clocks.
+type scan struct {
+	vm       *VM
+	exclude  *PM
+	scanned  int
+	profiles int
+	ties     int
+
+	rec   bool
+	cands []record.Candidate
+	tied  []int
+	ph    record.Phases
+	start time.Time
+}
+
+// verdict is the outcome of one candidate evaluation.
+type verdict uint8
+
+const (
+	scored    verdict = iota // feasible, best accommodation scored
+	noFit                    // no demand on the PM type, or the VM does not fit
+	noProfile                // fits, but no accommodation left a scored profile
+	excluded                 // the exclude argument (a migration source)
+	cordoned                 // cordoned for a maintenance drain
+)
+
+// verdictStatus maps each verdict to its recorded candidate status.
+var verdictStatus = [...]string{
+	scored:    record.StatusScored,
+	noFit:     record.StatusNoFit,
+	noProfile: record.StatusNoProfile,
+	excluded:  record.StatusExcluded,
+	cordoned:  record.StatusCordoned,
+}
+
+// candidate is Algorithm 2's one candidate evaluator, shared by the
+// used-PM scan (lines 3-16) and the unused-PM fallback (lines 17-24):
+// it skips the excluded and cordoned PMs, scores the VM's best
+// accommodation on pm (evaluate) and, when recording, notes the
+// outcome. A missing ranker for pm's type is a configuration error.
+func (p *PageRankVM) candidate(s *scan, pm *PM, unused bool) (*binding, float64, resource.Assignment, verdict, error) {
+	var (
+		b      *binding
+		score  float64
+		assign resource.Assignment
+		n      int
+		v      verdict
+	)
+	switch {
+	case pm == s.exclude:
+		v = excluded
+	case pm.Cordoned():
+		v = cordoned
+	default:
+		var err error
+		if b, err = p.binding(pm.Type, s.vm); err != nil {
+			return nil, 0, nil, 0, err
+		}
+		var ph *record.Phases
+		if s.rec {
+			ph = &s.ph
+		}
+		score, assign, n, v = p.evaluate(b, pm, ph)
+		s.profiles += n
+	}
+	if s.rec {
+		rc := record.Candidate{PM: pm.ID, Status: verdictStatus[v], Profiles: n, Unused: unused}
+		if v == scored && !unused {
+			rc.Score = score
+		}
+		s.cands = append(s.cands, rc)
+	}
+	return b, score, assign, v, nil
+}
+
+// bind produces the winner's assignment — once per decision instead of
+// once per candidate: fast-path winners materialize from the move
+// table, slow-path winners translate their canonical-coordinate
+// assignment to the PM's actual dimension order — then counts,
+// records and traces the decision. It returns nil when the move cannot
+// be realized.
+func (p *PageRankVM) bind(s *scan, pm *PM, b *binding, assign resource.Assignment, score float64, opened bool) resource.Assignment {
+	var bindStart time.Time
+	if s.rec {
+		s.ph.ScanNs = int64(time.Since(s.start))
+		bindStart = time.Now()
+	}
+	if assign == nil {
+		assign = p.materialize(b, pm)
+	} else {
+		assign = alignAssign(pm.Shape, pm.used, assign)
+	}
+	if assign == nil {
+		return nil
+	}
+	p.met.profilesScored.Add(int64(s.profiles))
+	if opened {
+		p.met.pmsOpened.Inc()
+	}
+	if s.rec {
+		s.ph.BindNs = int64(time.Since(bindStart))
+		p.recordPlace(s, pm, score, b.fast, opened)
+	}
+	p.tracePlace(s, pm, score, opened)
+	return assign
+}
+
 // recordPlace assembles and appends one record.Decision, feeds the
 // phase histograms, and stashes the candidate scratch for reuse.
-func (p *PageRankVM) recordPlace(vm *VM, pm *PM, score float64, scanned, profiles, ties int, cands []record.Candidate, tied []int, fast, opened bool, ph *record.Phases) {
+func (p *PageRankVM) recordPlace(s *scan, pm *PM, score float64, fast, opened bool) {
 	d := record.Decision{
-		VM:         vm.ID,
-		VMType:     vm.Type,
+		VM:         s.vm.ID,
+		VMType:     s.vm.Type,
 		PM:         -1,
 		Score:      score,
-		Scanned:    scanned,
-		Profiles:   profiles,
-		Ties:       ties,
+		Scanned:    s.scanned,
+		Profiles:   s.profiles,
+		Ties:       s.ties,
 		Opened:     opened,
-		Candidates: cands,
+		Candidates: s.cands,
 		Fast:       fast,
-		Phases:     ph,
 	}
+	// A copy, so the scan itself stays on Place's stack.
+	ph := s.ph
+	d.Phases = &ph
 	if pm != nil {
 		d.PM = pm.ID
 		d.PMType = pm.Type
 	} else {
 		d.Rejected = true
 	}
-	if ties > 1 {
-		d.TiedPMs = tied
+	if s.ties > 1 {
+		d.TiedPMs = s.tied
 	}
 	p.rec.RecordDecision(d)
 	p.met.phaseScan.Observe(float64(ph.ScanNs) / 1e9)
@@ -420,47 +421,48 @@ func (p *PageRankVM) recordPlace(vm *VM, pm *PM, score float64, scanned, profile
 	p.met.phaseBind.Observe(float64(ph.BindNs) / 1e9)
 	// RecordDecision copied (collector) or serialized (JSONL) the
 	// slices, so the scratch can be handed back for the next decision.
-	p.recCands = cands[:0]
-	p.recTied = tied[:0]
+	p.recCands = s.cands[:0]
+	p.recTied = s.tied[:0]
 }
 
 // tracePlace emits one structured decision event; field assembly is
 // skipped entirely unless the observer has a sink attached.
-func (p *PageRankVM) tracePlace(vm *VM, pm *PM, score float64, scanned, profiles, ties int, opened bool) {
+func (p *PageRankVM) tracePlace(s *scan, pm *PM, score float64, opened bool) {
 	if !p.obs.TraceActive() {
 		return
 	}
 	p.obs.Emit(obs.Event{Name: "placement.place", Fields: []obs.Field{
-		obs.F("vm", vm.ID),
-		obs.F("vm_type", vm.Type),
+		obs.F("vm", s.vm.ID),
+		obs.F("vm_type", s.vm.Type),
 		obs.F("pm", pm.ID),
 		obs.F("pm_type", pm.Type),
 		obs.F("score", score),
-		obs.F("pms_scanned", scanned),
-		obs.F("profiles", profiles),
-		obs.F("ties", ties),
+		obs.F("pms_scanned", s.scanned),
+		obs.F("profiles", s.profiles),
+		obs.F("ties", s.ties),
 		obs.F("opened_fresh_pm", opened),
 	}})
 }
 
 // binding resolves (and caches, for the VM currently being placed) the
-// ranker, demand and fast-path handles for one PM type.
-func (p *PageRankVM) binding(pmType string, vm *VM) (binding, error) {
+// ranker, demand and fast-path handles for one PM type. The returned
+// pointer is valid until the VM changes.
+func (p *PageRankVM) binding(pmType string, vm *VM) (*binding, error) {
 	if p.bindVM != vm {
 		p.binds = p.binds[:0]
 		p.bindVM = vm
 	}
 	for i := range p.binds {
 		if p.binds[i].pmType == pmType {
-			return p.binds[i], nil
+			return &p.binds[i], nil
 		}
 	}
 	b, err := p.resolveBinding(pmType, vm)
 	if err != nil {
-		return binding{}, err
+		return nil, err
 	}
 	p.binds = append(p.binds, b)
-	return b, nil
+	return &p.binds[len(p.binds)-1], nil
 }
 
 func (p *PageRankVM) resolveBinding(pmType string, vm *VM) (binding, error) {
@@ -480,39 +482,122 @@ func (p *PageRankVM) resolveBinding(pmType string, vm *VM) (binding, error) {
 	return b, nil
 }
 
-// pmNodeIDs resolves pm's used profile to fr's lattice node ids,
-// serving repeats from the cache on the PM (invalidated whenever the
-// profile mutates — see PM.gen).
-//
-//prvm:hotpath
-func pmNodeIDs(pm *PM, fr ranktable.FastRanker) ([]int32, bool) {
-	if pm.rankOwner == fr && pm.rankGen == pm.gen {
-		return pm.rankIDs, pm.rankOK
-	}
-	ids, ok := fr.NodeIDs(pm.used, pm.rankIDs)
-	pm.rankIDs, pm.rankOK = ids, ok
-	pm.rankGen, pm.rankOwner = pm.gen, fr
-	return ids, ok
+// rankCache is a PM's memo of fast-path answers for one ranker and one
+// profile generation: the profile's lattice node ids and, per VM type
+// of the ranker (TypeRef.Index), the best move BestMove returned. Only
+// host and remove change a profile, and both bump PM.gen; so between
+// two decisions only the PMs the first one touched are scored again,
+// and a scan over unchanged PMs is one memo read per candidate.
+type rankCache struct {
+	owner ranktable.FastRanker
+	gen   uint64
+	ids   []int32
+	idsOK bool
+	moves []bestMove
 }
 
-// scoreCandidate scores the best accommodation of the bound VM on pm
-// (lines 6-7 of Algorithm 2) plus the number of candidate profiles.
-// On the fast path the returned assignment is nil — the caller
-// materializes it for the winning PM only. The slow path enumerates
-// resource.Placements from the PM's canonical profile — the same
-// sequence the lattice's typed successor lists were wired from, so
-// both paths break score ties identically — and string-key scores
-// each result. The returned slow-path assignment is therefore in
-// canonical coordinates; callers translate with alignAssign.
+// bestMove is one memoised BestMove answer; known is false until the
+// entry is first read after a reset.
+type bestMove struct {
+	score     float64
+	count     int
+	known, ok bool
+}
+
+// nodeIDs returns pm's lattice node ids under fr, refilling the memo
+// first when the profile or the ranker changed since it was filled.
+// ok is false when the profile is outside fr's lattice.
 //
 //prvm:hotpath
-func (p *PageRankVM) scoreCandidate(b binding, pm *PM) (float64, resource.Assignment, int, bool) {
+func (rc *rankCache) nodeIDs(pm *PM, fr ranktable.FastRanker) ([]int32, bool) {
+	if rc.owner != fr || rc.gen != pm.gen {
+		rc.reset(pm, fr)
+	}
+	return rc.ids, rc.idsOK
+}
+
+// reset resolves pm's current profile under fr and forgets every
+// memoised move. The buffers are sized on a PM's first scoring and
+// reused afterwards.
+func (rc *rankCache) reset(pm *PM, fr ranktable.FastRanker) {
+	ids, ok := fr.NodeIDs(pm.used, rc.ids)
+	if ok {
+		rc.ids = ids
+	}
+	rc.idsOK, rc.owner, rc.gen = ok, fr, pm.gen
+	if n := fr.NumTypes(); cap(rc.moves) < n {
+		rc.moves = make([]bestMove, n)
+	} else {
+		rc.moves = rc.moves[:n]
+		clear(rc.moves)
+	}
+}
+
+// move returns pm's memoised best move for the bound VM type, scoring
+// it on first use after a profile change. ok is false when the profile
+// is outside the ranker's lattice.
+//
+//prvm:hotpath
+func (rc *rankCache) move(pm *PM, b *binding) (*bestMove, bool) {
+	ids, ok := rc.nodeIDs(pm, b.fr)
+	if !ok {
+		return nil, false
+	}
+	m := &rc.moves[b.ref.Index()]
+	if !m.known {
+		m.score, m.count, m.ok = b.fr.BestMove(ids, b.ref)
+		m.known = true
+	}
+	return m, true
+}
+
+// evaluate scores the best accommodation of the bound VM on pm (lines
+// 6-7 of Algorithm 2) plus the number of candidate profiles. The fast
+// path reads pm's memo and runs no feasibility check: BestMove finds a
+// move exactly when resource.Fits holds (TestBestMoveOKIffFits), so
+// "no move" is reported as noFit — the status Fits gave it before. Its
+// assignment is nil; bind materializes the winner's only. The slow
+// path checks Fits (timed into ph.CheckNs when ph is non-nil), then
+// enumerates.
+//
+//prvm:hotpath
+func (p *PageRankVM) evaluate(b *binding, pm *PM, ph *record.Phases) (float64, resource.Assignment, int, verdict) {
+	if !b.hasDemand {
+		return 0, nil, 0, noFit
+	}
 	if b.fast {
-		if ids, ok := pmNodeIDs(pm, b.fr); ok {
-			score, count, ok := b.fr.BestMove(ids, b.ref)
-			return score, nil, count, ok
+		if m, ok := pm.rank.move(pm, b); ok {
+			if !m.ok {
+				return 0, nil, 0, noFit
+			}
+			return m.score, nil, m.count, scored
 		}
 	}
+	var t0 time.Time
+	if ph != nil {
+		t0 = time.Now()
+	}
+	fits := resource.Fits(pm.Shape, pm.used, b.demand)
+	if ph != nil {
+		ph.CheckNs += int64(time.Since(t0))
+	}
+	if !fits {
+		return 0, nil, 0, noFit
+	}
+	score, assign, n := p.enumerate(b, pm)
+	if assign == nil {
+		return 0, nil, n, noProfile
+	}
+	return score, assign, n, scored
+}
+
+// enumerate is the slow path: it enumerates resource.Placements from
+// the PM's canonical profile — the same sequence the lattice's typed
+// successor lists were wired from, so both paths break score ties
+// identically — and string-key scores each result. The returned
+// assignment (nil when nothing scored) is therefore in canonical
+// coordinates; callers translate with alignAssign.
+func (p *PageRankVM) enumerate(b *binding, pm *PM) (float64, resource.Assignment, int) {
 	var (
 		bestScore  = -1.0
 		bestAssign resource.Assignment
@@ -527,27 +612,23 @@ func (p *PageRankVM) scoreCandidate(b binding, pm *PM) (float64, resource.Assign
 			bestScore, bestAssign = score, pl.Assign
 		}
 	}
-	if bestAssign == nil {
-		return 0, nil, len(placements), false
-	}
-	return bestScore, bestAssign, len(placements), true
+	return bestScore, bestAssign, len(placements)
 }
 
 // materialize produces the concrete assignment realizing the fast
 // path's best move on pm, translated from canonical to the PM's actual
 // dimension order. Returns nil if the move cannot be realized (which a
-// successful scoreCandidate on the same profile rules out; the
-// enumeration fallback is defensive).
-func (p *PageRankVM) materialize(b binding, pm *PM) resource.Assignment {
+// successful evaluate on the same profile rules out; the enumeration
+// fallback is defensive).
+func (p *PageRankVM) materialize(b *binding, pm *PM) resource.Assignment {
 	if b.fast {
-		if ids, ok := pmNodeIDs(pm, b.fr); ok {
+		if ids, ok := pm.rank.nodeIDs(pm, b.fr); ok {
 			if canon, ok := b.fr.Materialize(ids, b.ref); ok {
 				return alignAssign(pm.Shape, pm.used, canon)
 			}
 		}
-		b.fast = false
 	}
-	_, assign, _, _ := p.scoreCandidate(b, pm)
+	_, assign, _ := p.enumerate(b, pm)
 	if assign == nil {
 		return nil
 	}
@@ -604,18 +685,21 @@ func alignAssign(shape *resource.Shape, used resource.Vec, canon resource.Assign
 
 // ScoreOn returns the best accommodation score of vm on pm — one
 // candidate evaluation of Algorithm 2's inner loop, exposed for
-// benchmarking the id-indexed fast path against the enumeration path.
-// On the fast path it runs in ~25ns with zero allocations — the
-// alloc_gate test and the hotalloc analyzer both hold it there.
+// benchmarking the id-indexed fast path against the enumeration path
+// and for callers re-scoring a chosen PM. On the fast path, once pm's
+// profile has been scored for vm's type, it is one memo read: ~24ns
+// and zero allocations on a 2-vCPU Xeon (BenchmarkPlaceLookup/fast;
+// ~65ns there when only node ids were cached) — the alloc_gate test
+// and the hotalloc analyzer both hold it allocation-free.
 //
 //prvm:hotpath
 func (p *PageRankVM) ScoreOn(pm *PM, vm *VM) (float64, bool) {
 	b, err := p.binding(pm.Type, vm)
-	if err != nil || !b.hasDemand {
+	if err != nil {
 		return 0, false
 	}
-	score, _, _, ok := p.scoreCandidate(b, pm)
-	return score, ok
+	score, _, _, v := p.evaluate(b, pm, nil)
+	return score, v == scored
 }
 
 // sample draws two distinct random used PMs (the 2-choice method).

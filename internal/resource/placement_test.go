@@ -260,3 +260,48 @@ func TestQuantizeCap(t *testing.T) {
 		}
 	}
 }
+
+// FuzzFits checks the Hall-counting feasibility test against brute
+// force: on small fuzzed shapes, profiles and demands, Fits must hold
+// exactly when Placements finds at least one anti-collocating
+// placement. The fuzzed demands may ask for more units than a group
+// has dimensions, or more units than a dimension holds, and may name
+// a group the shape lacks.
+func FuzzFits(f *testing.F) {
+	f.Add(uint8(3), uint8(3), uint8(2), uint8(2), uint64(0x0102), uint32(0x0211), uint32(0x11), false)
+	f.Add(uint8(4), uint8(4), uint8(1), uint8(4), uint64(0x4444), uint32(0x1111), uint32(0), false)
+	f.Add(uint8(1), uint8(1), uint8(3), uint8(1), uint64(0), uint32(0x0022), uint32(0x0111), true)
+	f.Fuzz(func(t *testing.T, cpuDims, cpuCap, diskDims, diskCap uint8, profile uint64, cpuDemand, diskDemand uint32, foreign bool) {
+		s := MustShape(
+			Group{Name: "cpu", Dims: 1 + int(cpuDims%4), Cap: 1 + int(cpuCap%4)},
+			Group{Name: "disk", Dims: 1 + int(diskDims%3), Cap: 1 + int(diskCap%4)},
+		)
+		caps := s.Capacity()
+		p := make(Vec, s.NumDims())
+		for d := range p {
+			p[d] = int(profile>>(4*d)&0xf) % (caps[d] + 1)
+		}
+		// units decodes up to five nibbles of a demand word: the low
+		// nibble is the unit count, the next ones the unit sizes.
+		units := func(w uint32, capUnits int) []int {
+			n := int(w & 0xf % 6)
+			out := make([]int, n)
+			for i := range out {
+				out[i] = 1 + int(w>>(4*(i+1))&0xf)%(capUnits+1)
+			}
+			return out
+		}
+		diskGroup := "disk"
+		if foreign {
+			diskGroup = "gpu"
+		}
+		vt := NewVMType("fuzz",
+			Demand{Group: "cpu", Units: units(cpuDemand, s.Group(0).Cap)},
+			Demand{Group: diskGroup, Units: units(diskDemand, s.Group(1).Cap)},
+		)
+		fits := Fits(s, p, vt)
+		if brute := len(Placements(s, p, vt)) > 0; fits != brute {
+			t.Fatalf("shape %v profile %v demand %+v: Fits = %v, Placements found a placement = %v", caps, p, vt.Demands, fits, brute)
+		}
+	})
+}
